@@ -423,32 +423,6 @@ func BenchmarkHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathWarmStart measures the opt-in dual-simplex warm start on
-// the MILP-heavy workload against the default cold-solve configuration.
-func BenchmarkHotPathWarmStart(b *testing.B) {
-	ws := hotPathWorkloads(b)
-	w := ws[1] // milp-heavy
-	for _, warm := range []bool{false, true} {
-		name := "cold"
-		if warm {
-			name = "warm"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			opts := w.opts
-			opts.MILP.WarmStart = warm
-			for i := 0; i < b.N; i++ {
-				engine := core.NewEngine(w.set, nil, opts)
-				for _, q := range w.queries {
-					if _, err := engine.Bound(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // --- Constraint-store benchmarks (PR 3) ---
 
 // incrementalStore builds a store of overlapping constraint "chains" along an

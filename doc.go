@@ -41,11 +41,13 @@
 //
 // Above the exact solver sits a tiered-precision summary layer
 // (internal/summary, attached by core.AttachSummary): per-constraint
-// sketches — predicate boxes, clipped value hulls, frequency totals and a
-// pairwise-disjointness certificate — maintained incrementally from the
-// same mutation stream the WAL consumes, answering any of the five
-// aggregates with a sound outer interval in O(constraints·dims) without
-// touching LP/MILP. Summary intervals always contain the exact range
+// sketches — predicate boxes, clipped value hulls and frequency totals —
+// maintained incrementally from the same mutation stream the WAL consumes,
+// answering any of the five aggregates with a sound outer interval in
+// O(constraints·dims) without touching LP/MILP. Its pairwise-disjointness
+// certificate is the core Store's: the store counts overlapping predicate
+// pairs on its commit path, and every snapshot carries the count, so the
+// summary tier and the greedy fast path share one fact. Summary intervals always contain the exact range
 // (enforced by a randomized soundness differential and per-finding ulp
 // widening of float sums), the exact path is bit-identical with or without
 // the overlay, and core.BoundTiered escalates summary→exact under a

@@ -85,8 +85,7 @@ func TestBoundBatchMatchesSequential(t *testing.T) {
 
 // TestEngineConcurrentBoundAndBatch hammers one engine from many goroutines
 // mixing Bound and BoundBatch over all five aggregates; run under -race it
-// exercises the solver clones, the shared decomposition cache and the
-// lazily-computed disjointness analysis.
+// exercises the solver clones and the shared decomposition cache.
 func TestEngineConcurrentBoundAndBatch(t *testing.T) {
 	set := overlappingSet(t)
 	queries := batchWorkload(set.Schema())

@@ -89,9 +89,6 @@ func milpOptsSig(o milp.Options) string {
 	sb.WriteString(strconv.Itoa(nodes))
 	sb.WriteByte(',')
 	sb.WriteString(strconv.FormatUint(math.Float64bits(tol), 16))
-	if o.WarmStart {
-		sb.WriteString(",w")
-	}
 	return sb.String()
 }
 

@@ -108,9 +108,7 @@ type Options struct {
 	// The Pushdown field is managed per query and must be left nil.
 	Cells cells.Options
 	// MILP configures the branch-and-bound search. The Ctx field is managed
-	// per query by the engine and must be left nil; WarmStart may be set to
-	// re-optimize branch-and-bound children from their parent basis (faster,
-	// but last-ulp rounding may differ from the default cold solves).
+	// per query by the engine and must be left nil.
 	MILP milp.Options
 	// DisableFastPath forces the general MILP path even for disjoint sets.
 	DisableFastPath bool

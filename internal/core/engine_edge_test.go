@@ -123,7 +123,6 @@ func TestEngineConcurrentQueries(t *testing.T) {
 		MustPC(predicate.NewBuilder(s).Range("utc", 10, 30).Build(),
 			map[string]domain.Interval{"price": domain.NewInterval(0, 200)}, 5, 60),
 	)
-	_ = set.Disjoint() // pre-compute the cached analysis before fan-out
 	e := NewEngine(set, nil, Options{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)

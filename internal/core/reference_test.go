@@ -39,42 +39,3 @@ func TestReferencePathBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestWarmStartEngineAgrees exercises the opt-in MILP warm start end to end:
-// statuses and ranges must agree with the default engine up to LP tolerance.
-func TestWarmStartEngineAgrees(t *testing.T) {
-	set := overlappingSet(t)
-	queries := batchWorkload(set.Schema())
-
-	cold := NewEngine(set, nil, Options{DisableFastPath: true})
-	warmOpts := Options{DisableFastPath: true}
-	warmOpts.MILP.WarmStart = true
-	warm := NewEngine(set, nil, warmOpts)
-
-	for qi, q := range queries {
-		cr, err := cold.Bound(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wr, err := warm.Bound(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const tol = 1e-6
-		if cr.MaybeEmpty != wr.MaybeEmpty ||
-			diff(cr.Lo, wr.Lo) > tol || diff(cr.Hi, wr.Hi) > tol {
-			t.Errorf("query %d (%v): warm %+v != cold %+v", qi, q.Agg, wr, cr)
-		}
-	}
-}
-
-func diff(a, b float64) float64 {
-	if a == b { // covers equal infinities
-		return 0
-	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d
-}

@@ -64,6 +64,12 @@ type Store struct {
 	nextID PCID       // guarded by mu
 	snap   *Snapshot  // guarded by mu; cached snapshot of the current state (nil until asked)
 	hook   CommitHook // guarded by mu; fired after every committed mutation
+	// overlaps counts the unordered pairs of live predicates that share a
+	// schema-lattice point; zero certifies pairwise disjointness (the greedy
+	// fast path's qualification, Section 4.2). Each mutation adjusts it with
+	// one O(n·dims) pass. -1 means not yet counted: RestoreStore leaves it
+	// so, replayed mutations skip it, and Snapshot counts it once.
+	overlaps int // guarded by mu
 	// hooks are additional commit observers (AddCommitHook), fired after the
 	// primary hook in registration order. Removed hooks leave a nil slot so
 	// registration order — and therefore firing order — is stable.
@@ -217,9 +223,6 @@ func (s *Store) Epoch() uint64 {
 	return s.epoch
 }
 
-// Version is an alias of Epoch, kept for callers of the pre-Store API.
-func (s *Store) Version() uint64 { return s.Epoch() }
-
 // Len returns the number of constraints.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -339,6 +342,9 @@ func (s *Store) applyAddLocked(pcs []PC, ids []PCID) {
 	s.detachLocked()
 	boxes := make([]domain.Box, len(pcs))
 	for i, pc := range pcs {
+		if s.overlaps >= 0 {
+			s.overlaps += overlapsWith(pc.Pred, s.pcs, -1)
+		}
 		s.pcs = append(s.pcs, clonePC(pc))
 		s.ids = append(s.ids, ids[i])
 		if ids[i] > s.nextID {
@@ -421,6 +427,9 @@ func (s *Store) Remove(id PCID) error {
 // commits the epoch bump. Shared by Remove and ApplyRecord.
 func (s *Store) applyRemoveLocked(i int, id PCID) {
 	box := s.pcs[i].Pred.Box()
+	if s.overlaps >= 0 {
+		s.overlaps -= overlapsWith(s.pcs[i].Pred, s.pcs, i)
+	}
 	s.detachLocked()
 	s.pcs = append(s.pcs[:i], s.pcs[i+1:]...)
 	s.ids = append(s.ids[:i], s.ids[i+1:]...)
@@ -450,6 +459,9 @@ func (s *Store) Replace(id PCID, pc PC) error {
 func (s *Store) applyReplaceLocked(i int, id PCID, pc PC) {
 	oldBox := s.pcs[i].Pred.Box()
 	newBox := pc.Pred.Box()
+	if s.overlaps >= 0 {
+		s.overlaps += overlapsWith(pc.Pred, s.pcs, i) - overlapsWith(s.pcs[i].Pred, s.pcs, i)
+	}
 	s.detachLocked()
 	s.pcs[i] = clonePC(pc)
 	s.commitLocked([]domain.Box{oldBox, newBox})
@@ -550,12 +562,13 @@ func (s *Store) applyRecordLocked(rec MutationRecord) error {
 // mutations to both yields bit-identical stores. Its mutation log starts
 // empty with the floor at the restored epoch, so engine caches revalidate
 // conservatively across the restore boundary rather than trusting a window
-// the restored store cannot vouch for.
+// the restored store cannot vouch for. Its overlap count is left uncounted
+// until the first Snapshot, so a log replay onto it does no overlap tests.
 func RestoreStore(schema *domain.Schema, pcs []PC, ids []PCID, epoch uint64, nextID PCID) (*Store, error) {
 	if len(pcs) != len(ids) {
 		return nil, fmt.Errorf("core: restore has %d constraints but %d ids", len(pcs), len(ids))
 	}
-	s := &Store{schema: schema, epoch: epoch, nextID: nextID, logFloor: epoch}
+	s := &Store{schema: schema, epoch: epoch, nextID: nextID, logFloor: epoch, overlaps: -1}
 	seen := make(map[PCID]bool, len(ids))
 	for i, pc := range pcs {
 		if err := s.validatePC(pc); err != nil {
@@ -594,17 +607,36 @@ func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.snap == nil {
+		if s.overlaps < 0 {
+			s.overlaps = 0
+			for i, pc := range s.pcs {
+				s.overlaps += overlapsWith(pc.Pred, s.pcs[:i], -1)
+			}
+		}
 		s.snap = &Snapshot{
-			store:  s,
-			schema: s.schema,
-			pcs:    s.pcs,
-			ids:    s.ids,
-			epoch:  s.epoch,
-			nextID: s.nextID,
+			store:    s,
+			schema:   s.schema,
+			pcs:      s.pcs,
+			ids:      s.ids,
+			epoch:    s.epoch,
+			nextID:   s.nextID,
+			overlaps: s.overlaps,
 		}
 		s.shared = true
 	}
 	return s.snap
+}
+
+// overlapsWith counts the constraints in pcs, other than pcs[skip], whose
+// predicates share a schema-lattice point with p.
+func overlapsWith(p *predicate.P, pcs []PC, skip int) int {
+	n := 0
+	for j, pc := range pcs {
+		if j != skip && p.Overlaps(pc.Pred) {
+			n++
+		}
+	}
+	return n
 }
 
 // unchangedWithin reports whether no mutation with epoch in (from, to]
@@ -751,9 +783,8 @@ type Snapshot struct {
 	ids    []PCID
 	epoch  uint64
 	nextID PCID
-
-	disjointOnce sync.Once
-	disjoint     bool
+	// overlaps is the store's pairwise predicate-overlap count at epoch.
+	overlaps int
 }
 
 // Store returns the store this snapshot was taken from.
@@ -833,26 +864,13 @@ func (sn *Snapshot) Validate(rows []domain.Row) []error {
 
 // Disjoint reports whether all predicates are pairwise non-overlapping on
 // the schema lattice. Disjoint snapshots qualify for the greedy fast path
-// (Section 4.2 "Faster Algorithm in Special Cases"). Computed lazily, once
-// per snapshot.
-func (sn *Snapshot) Disjoint() bool {
-	sn.disjointOnce.Do(func() {
-		sn.disjoint = true
-		boxes := make([]domain.Box, len(sn.pcs))
-		for i, pc := range sn.pcs {
-			boxes[i] = pc.Pred.Box()
-		}
-		for i := 0; i < len(boxes) && sn.disjoint; i++ {
-			for j := i + 1; j < len(boxes); j++ {
-				if !boxes[i].Intersect(boxes[j]).EmptyFor(sn.schema) {
-					sn.disjoint = false
-					break
-				}
-			}
-		}
-	})
-	return sn.disjoint
-}
+// (Section 4.2 "Faster Algorithm in Special Cases"). The store keeps the
+// overlap count on its commit path, so this is a field read.
+func (sn *Snapshot) Disjoint() bool { return sn.overlaps == 0 }
+
+// OverlapPairs returns the number of unordered predicate pairs that share a
+// schema-lattice point; zero iff Disjoint.
+func (sn *Snapshot) OverlapPairs() int { return sn.overlaps }
 
 // TotalKLo returns the sum of frequency lower bounds — the minimum number of
 // missing rows any valid instance must contain (only exact for disjoint

@@ -491,6 +491,150 @@ func TestStoreClosedIncrementalMatchesSnapshot(t *testing.T) {
 	}
 }
 
+// bruteOverlapPairs is the from-scratch oracle for the store's overlap
+// count: every unordered predicate pair whose boxes intersect on the schema
+// lattice.
+func bruteOverlapPairs(sn *Snapshot) int {
+	n := 0
+	for i := range sn.pcs {
+		for j := i + 1; j < len(sn.pcs); j++ {
+			if !sn.pcs[i].Pred.Box().Intersect(sn.pcs[j].Pred.Box()).EmptyFor(sn.schema) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// sparsePC draws a narrow constraint (a utc cell or two, optionally one
+// branch, endpoints sometimes fractional) so a handful of them is disjoint
+// about as often as not, integer holes like utc∈[3.2, 3.8] included.
+func sparsePC(rng *rand.Rand, s *domain.Schema) PC {
+	lo := float64(rng.Intn(12)) + []float64{0, 0, 0.2, 0.5}[rng.Intn(4)]
+	hi := lo + []float64{0, 0.6, 1, 2}[rng.Intn(4)]
+	b := predicate.NewBuilder(s).Range("utc", lo, hi)
+	if rng.Intn(3) > 0 {
+		b = b.Eq("branch", float64(rng.Intn(3)))
+	}
+	return MustPC(b.Build(), map[string]domain.Interval{"price": domain.NewInterval(0, 10)}, 0, 1+rng.Intn(3))
+}
+
+// TestStoreOverlapCount checks the overlap count the store keeps on its
+// commit path against bruteOverlapPairs after every mutation, through every
+// entry point — AddPCs (several constraints per call), Remove, Replace,
+// ApplyRecord and ApplyReplicated — on a fresh store and on a restored one.
+// The restored store first replays records uncounted and counts once on its
+// first Snapshot.
+func TestStoreOverlapCount(t *testing.T) {
+	s := salesSchema()
+	for _, restored := range []bool{false, true} {
+		name := "new"
+		if restored {
+			name = "restored"
+		}
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			store := NewStore(s)
+			var ids []PCID
+			var nextID PCID
+			if restored {
+				seed := NewStore(s)
+				var pcs []PC
+				for i := 0; i < 5; i++ {
+					pcs = append(pcs, sparsePC(rng, s))
+				}
+				seed.MustAdd(pcs...)
+				sn := seed.Snapshot()
+				var err error
+				if store, err = RestoreStore(s, sn.PCs(), sn.IDs(), sn.Epoch(), sn.NextID()); err != nil {
+					t.Fatal(err)
+				}
+				ids, nextID = sn.IDs(), sn.NextID()
+			}
+
+			// mutate applies one random mutation, directly or as a record
+			// through ApplyRecord or ApplyReplicated.
+			mutate := func() {
+				t.Helper()
+				kind := MutAdd
+				if len(ids) >= 2 {
+					kind = MutKind(1 + rng.Intn(3))
+				}
+				if len(ids) > 8 {
+					kind = MutRemove
+				}
+				rec := MutationRecord{Epoch: store.Epoch() + 1, Kind: kind}
+				switch kind {
+				case MutAdd:
+					for n := 2 + rng.Intn(3); n > 0; n-- {
+						nextID++
+						rec.IDs = append(rec.IDs, nextID)
+						rec.PCs = append(rec.PCs, sparsePC(rng, s))
+					}
+					ids = append(ids, rec.IDs...)
+				case MutRemove:
+					i := rng.Intn(len(ids))
+					rec.IDs = []PCID{ids[i]}
+					ids = append(ids[:i], ids[i+1:]...)
+				case MutReplace:
+					rec.IDs = []PCID{ids[rng.Intn(len(ids))]}
+					rec.PCs = []PC{sparsePC(rng, s)}
+				}
+				var err error
+				switch mode := rng.Intn(3); {
+				case mode == 1:
+					err = store.ApplyRecord(rec)
+				case mode == 2:
+					err = store.ApplyReplicated(rec)
+				case kind == MutAdd:
+					var got []PCID
+					got, err = store.AddPCs(rec.PCs...)
+					for i := range got {
+						if got[i] != rec.IDs[i] {
+							t.Fatalf("AddPCs assigned id %d, want %d", got[i], rec.IDs[i])
+						}
+					}
+				case kind == MutRemove:
+					err = store.Remove(rec.IDs[0])
+				default:
+					err = store.Replace(rec.IDs[0], rec.PCs[0])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if restored {
+				for step := 0; step < 6; step++ {
+					mutate()
+				}
+				store.mu.RLock()
+				uncounted := store.overlaps < 0
+				store.mu.RUnlock()
+				if !uncounted {
+					t.Fatal("mutations on a restored store counted overlaps before any Snapshot")
+				}
+			}
+			seen := map[bool]int{}
+			for step := 0; step < 300; step++ {
+				sn := store.Snapshot()
+				want := bruteOverlapPairs(sn)
+				if got := sn.OverlapPairs(); got != want {
+					t.Fatalf("step %d: store counts %d overlapping pairs, oracle %d", step, got, want)
+				}
+				if sn.Disjoint() != (want == 0) {
+					t.Fatalf("step %d: Disjoint() = %v with %d overlapping pairs", step, sn.Disjoint(), want)
+				}
+				seen[sn.Disjoint()]++
+				mutate()
+			}
+			if seen[true] < 30 || seen[false] < 30 {
+				t.Fatalf("generator too one-sided: %d disjoint snapshots, %d overlapping", seen[true], seen[false])
+			}
+		})
+	}
+}
+
 // TestStoreConcurrentWritersAndReaders hammers a store with mutating writers
 // while readers bound queries against pinned snapshots and freshly rebound
 // engines; run under -race this exercises the COW path, the shared scoped

@@ -175,7 +175,7 @@ func (e *Engine) BoundSummary(q Query) (Range, bool) {
 	if q.Where != nil {
 		wbox = q.Where.Box()
 	}
-	res, ok := ov.sum.Eval(sa, attr, wbox, e.snap.Epoch())
+	res, ok := ov.sum.Eval(sa, attr, wbox, e.snap.Epoch(), e.snap.Disjoint())
 	if !ok {
 		return Range{}, false
 	}

@@ -16,33 +16,18 @@ const (
 // lp.Solve performs, so results are bit-identical whether or not a context
 // is reused.
 type Context struct {
-	t         tableau
-	rowBuf    []float64 // flat backing for the tableau rows
-	objBuf    []float64 // objective scratch (phase-1 / phase-2 rows)
-	cBuf      []float64 // sign-adjusted structural costs
-	flipBuf   []bool    // per-row rhs-negation flags
-	senseBuf  []Sense   // per-row normalized senses
-	basisOut  []int     // last optimal basis (warm-start handoff)
-	haveBasis bool
-	seen      []uint32 // column-membership stamps for basis validation
-	seenGen   uint32
-}
-
-// Basis returns the optimal basis of the context's most recent successful
-// Solve/SolveFrom, or nil when the last solve did not end at an optimal
-// basic solution free of artificial variables. The returned slice is copied;
-// it can seed SolveFrom on a problem extending the solved one.
-func (cx *Context) Basis() []int {
-	if !cx.haveBasis {
-		return nil
-	}
-	return append([]int(nil), cx.basisOut...)
+	t        tableau
+	rowBuf   []float64 // flat backing for the tableau rows
+	objBuf   []float64 // objective scratch (phase-1 / phase-2 rows)
+	cBuf     []float64 // sign-adjusted structural costs
+	flipBuf  []bool    // per-row rhs-negation flags
+	senseBuf []Sense   // per-row normalized senses
 }
 
 // prepare normalizes rows (non-negative rhs) and sizes the tableau for the
-// given number of auxiliary columns. It returns the total column count and
-// the first artificial column index.
-func (cx *Context) prepare(p *Problem, withArtificials bool) (total, artStart int, needPhase1 bool, ok bool) {
+// slack and artificial columns. It returns the total column count and the
+// first artificial column index.
+func (cx *Context) prepare(p *Problem) (total, artStart int, needPhase1 bool) {
 	m := len(p.cons)
 	cx.flipBuf = resizeBools(cx.flipBuf, m)
 	cx.senseBuf = resizeSenses(cx.senseBuf, m)
@@ -70,9 +55,6 @@ func (cx *Context) prepare(p *Problem, withArtificials bool) (total, artStart in
 		case EQ:
 			nArt++
 		}
-	}
-	if !withArtificials {
-		nArt = 0
 	}
 	total = p.n + nSlack
 	artStart = total
@@ -122,39 +104,25 @@ func (cx *Context) prepare(p *Problem, withArtificials bool) (total, artStart in
 			slackCol++
 		case GE:
 			row[slackCol] = -1
-			if withArtificials {
-				row[artCol] = 1
-				cx.t.basis[i] = artCol
-				artCol++
-			} else {
-				// Warm-start mode: the row's own (surplus) slack stands in as
-				// the basic variable until the caller's basis is installed.
-				cx.t.basis[i] = slackCol
-			}
 			slackCol++
+			row[artCol] = 1
+			cx.t.basis[i] = artCol
+			artCol++
 			needPhase1 = true
 		case EQ:
-			if withArtificials {
-				row[artCol] = 1
-				cx.t.basis[i] = artCol
-				artCol++
-			} else {
-				// No auxiliary column to make basic: the caller must supply a
-				// basis entry for this row.
-				cx.t.basis[i] = -1
-			}
+			row[artCol] = 1
+			cx.t.basis[i] = artCol
+			artCol++
 			needPhase1 = true
 		}
 	}
-	return total, artStart, needPhase1, true
+	return total, artStart, needPhase1
 }
 
 // Solve runs two-phase primal simplex and returns the solution. The
 // algorithm, pivot rules and arithmetic are identical to the original
 // allocating implementation; only the storage is pooled.
 func (cx *Context) Solve(p *Problem) Solution {
-	cx.haveBasis = false
-	m := len(p.cons)
 	if p.n == 0 {
 		return Solution{Status: Optimal, Objective: 0, X: nil}
 	}
@@ -168,7 +136,7 @@ func (cx *Context) Solve(p *Problem) Solution {
 		cx.cBuf[i] = sign * v
 	}
 
-	total, artStart, needPhase1, _ := cx.prepare(p, true)
+	total, artStart, needPhase1 := cx.prepare(p)
 	t := &cx.t
 
 	iters := 0
@@ -228,13 +196,6 @@ func (cx *Context) Solve(p *Problem) Solution {
 	case IterLimit:
 		return Solution{Status: IterLimit, Iterations: iters}
 	}
-	return cx.extract(p, m, artStart, iters)
-}
-
-// extract reads the optimal solution out of the tableau and records the
-// basis for warm-start handoff.
-func (cx *Context) extract(p *Problem, m, artStart, iters int) Solution {
-	t := &cx.t
 	x := make([]float64, p.n)
 	for i, b := range t.basis {
 		if b < p.n {
@@ -245,191 +206,7 @@ func (cx *Context) extract(p *Problem, m, artStart, iters int) Solution {
 	for i := range x {
 		objVal += p.c[i] * x[i]
 	}
-	cx.haveBasis = true
-	cx.basisOut = append(cx.basisOut[:0], t.basis...)
-	for _, b := range t.basis {
-		if b >= artStart {
-			// A leftover artificial (redundant row) cannot seed a warm start.
-			cx.haveBasis = false
-			break
-		}
-	}
 	return Solution{Status: Optimal, Objective: objVal, X: x, Iterations: iters}
-}
-
-// SolveFrom re-optimizes the problem starting from a basis of a previously
-// solved problem that this one extends by appended rows (dual-simplex warm
-// start). The basis must cover the first len(basis) rows; appended rows must
-// be inequalities (their slacks complete the basis). Any structural
-// mismatch, singular basis, or iteration stall falls back to a cold Solve —
-// the result is always a correctly solved LP, but the pivot path (and hence
-// last-ulp rounding) may differ from a cold solve's.
-func (cx *Context) SolveFrom(p *Problem, basis []int) Solution {
-	m := len(p.cons)
-	if p.n == 0 || m == 0 || len(basis) == 0 || len(basis) > m {
-		return cx.Solve(p)
-	}
-	cx.haveBasis = false
-	cx.cBuf = resizeFloats(cx.cBuf, p.n)
-	sign := 1.0
-	if !p.maximize {
-		sign = -1.0
-	}
-	for i, v := range p.c {
-		cx.cBuf[i] = sign * v
-	}
-
-	total, _, _, _ := cx.prepare(p, false)
-	t := &cx.t
-
-	// Install the warm basis: inherited entries for the covered rows, own
-	// slacks for the appended rows.
-	for i := 0; i < m; i++ {
-		if i < len(basis) {
-			if basis[i] < 0 || basis[i] >= total {
-				return cx.Solve(p)
-			}
-			t.basis[i] = basis[i]
-		} else if t.basis[i] < 0 {
-			// Appended EQ row without a slack: cannot warm start.
-			return cx.Solve(p)
-		}
-	}
-	// Basis entries must be distinct (generation-stamped membership check:
-	// O(m), no clearing between solves).
-	if cap(cx.seen) < total {
-		cx.seen = make([]uint32, total)
-		cx.seenGen = 0
-	}
-	cx.seen = cx.seen[:total]
-	if cx.seenGen == math.MaxUint32 {
-		clear(cx.seen)
-		cx.seenGen = 0
-	}
-	cx.seenGen++
-	for i := 0; i < m; i++ {
-		if cx.seen[t.basis[i]] == cx.seenGen {
-			return cx.Solve(p)
-		}
-		cx.seen[t.basis[i]] = cx.seenGen
-	}
-
-	// Canonicalize: Gauss-Jordan on each (row, basis column). The objective
-	// row is installed afterwards, so pivots here only touch constraints.
-	cx.objBuf = resizeFloats(cx.objBuf, total+1)
-	clear(cx.objBuf)
-	t.obj = cx.objBuf
-	for i := 0; i < m; i++ {
-		pv := t.rows[i][t.basis[i]]
-		if math.Abs(pv) < 1e-7 {
-			return cx.Solve(p) // numerically singular warm basis
-		}
-		t.pivot(i, t.basis[i])
-	}
-
-	// Price out the real objective against the warm basis.
-	clear(cx.objBuf)
-	copy(cx.objBuf, cx.cBuf)
-	t.setObjective(cx.objBuf)
-
-	// The parent basis was optimal for the parent problem and appended slacks
-	// have zero cost, so reduced costs should already be non-positive (dual
-	// feasible). Numerical drift can break that; re-optimize primally if the
-	// point is primal feasible, otherwise restart cold.
-	dualFeasible := true
-	for j := 0; j < total; j++ {
-		if t.obj[j] > eps {
-			dualFeasible = false
-			break
-		}
-	}
-	primalFeasible := true
-	for i := 0; i < m; i++ {
-		if t.rows[i][total] < -eps {
-			primalFeasible = false
-			break
-		}
-	}
-	iters := 0
-	if !dualFeasible {
-		if !primalFeasible {
-			return cx.Solve(p)
-		}
-		st, it := t.optimize(total)
-		iters += it
-		switch st {
-		case Unbounded:
-			return Solution{Status: Unbounded, Iterations: iters}
-		case IterLimit:
-			return cx.Solve(p)
-		}
-		return cx.extract(p, m, total, iters)
-	}
-
-	// Dual simplex: repair primal feasibility while keeping dual feasibility.
-	maxIters := 10000 + 50*(t.m+t.n)
-	for iter := 0; iter < maxIters; iter++ {
-		bland := iter >= blandAfter
-		// Leaving row: most negative rhs (Bland: smallest row index). The
-		// entering rule below always runs the dual ratio test — skipping it
-		// would break dual feasibility and could certify a suboptimal basis.
-		pr := -1
-		worst := -eps
-		for i := 0; i < t.m; i++ {
-			rhs := t.rows[i][total]
-			if rhs < worst {
-				worst = rhs
-				pr = i
-				if bland {
-					break
-				}
-			}
-		}
-		if pr < 0 {
-			// Primal feasible. Dual feasibility is maintained by the ratio
-			// test up to eps, but guard against numerical drift before
-			// certifying optimality; the basis is primal feasible here, so a
-			// primal clean-up pass is always sound.
-			for j := 0; j < total; j++ {
-				if t.obj[j] > eps {
-					st, it := t.optimize(total)
-					iters += iter + it
-					switch st {
-					case Unbounded:
-						return Solution{Status: Unbounded, Iterations: iters}
-					case IterLimit:
-						return cx.Solve(p)
-					}
-					return cx.extract(p, m, total, iters)
-				}
-			}
-			return cx.extract(p, m, total, iters+iter)
-		}
-		// Entering column: the dual ratio test — minimize |reduced cost /
-		// coefficient| over negative coefficients in the leaving row. Strict
-		// < keeps the smallest index on ties (Bland's rule for the entering
-		// side), so the pivot sequence is deterministic and anti-cycling.
-		pc := -1
-		bestRatio := math.Inf(1)
-		row := t.rows[pr]
-		for j := 0; j < total; j++ {
-			a := row[j]
-			if a >= -eps {
-				continue
-			}
-			ratio := t.obj[j] / a // obj[j] <= eps, a < 0 → ratio >= ~0
-			if pc < 0 || ratio < bestRatio {
-				bestRatio = ratio
-				pc = j
-			}
-		}
-		if pc < 0 {
-			// No entering column: the row proves primal infeasibility.
-			return Solution{Status: Infeasible, Iterations: iters + iter}
-		}
-		t.pivot(pr, pc)
-	}
-	return cx.Solve(p) // stalled; cold restart is always sound
 }
 
 // tableau is a dense simplex tableau with an explicit reduced-cost row.

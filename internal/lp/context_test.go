@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -105,92 +104,6 @@ func TestPushPopRow(t *testing.T) {
 	p.PopRow() // popping past empty must not panic
 }
 
-// TestSolveFromMatchesCold checks the dual-simplex warm start against cold
-// solves on branch-and-bound-shaped extensions: solve a base LP, push a
-// bound row cutting off the optimum, and re-optimize from the parent basis.
-func TestSolveFromMatchesCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var cx Context
-	warmStarted := 0
-	for trial := 0; trial < 300; trial++ {
-		p := randomProblem(rng)
-		root := cx.Solve(p)
-		if root.Status != Optimal {
-			continue
-		}
-		basis := cx.Basis()
-		if basis == nil {
-			continue
-		}
-		// Branch like the MILP does: floor/ceil bound on a fractional-ish var.
-		v := rng.Intn(p.N())
-		var sense Sense
-		var rhs float64
-		if rng.Intn(2) == 0 {
-			sense, rhs = LE, math.Floor(root.X[v])
-		} else {
-			sense, rhs = GE, math.Ceil(root.X[v])+1
-		}
-		idx, val := []int{v}, []float64{1}
-		mustAdd(t, p.PushRow(idx, val, sense, rhs))
-		cold := Solve(p)
-		warm := cx.SolveFrom(p, basis)
-		p.PopRow()
-		warmStarted++
-		if cold.Status != warm.Status {
-			t.Fatalf("trial %d: status %v != cold %v", trial, warm.Status, cold.Status)
-		}
-		if cold.Status != Optimal {
-			continue
-		}
-		if math.Abs(cold.Objective-warm.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
-			t.Fatalf("trial %d: warm objective %v != cold %v", trial, warm.Objective, cold.Objective)
-		}
-	}
-	if warmStarted < 100 {
-		t.Fatalf("only %d warm starts exercised; generator too restrictive", warmStarted)
-	}
-}
-
-// TestSolveFromFallbacks covers the paths that must quietly degrade to a
-// cold solve rather than mis-solve.
-func TestSolveFromFallbacks(t *testing.T) {
-	var cx Context
-	p := NewMaximize([]float64{1, 1})
-	mustAdd(t, p.AddDense([]float64{1, 1}, LE, 4))
-	cold := Solve(p)
-
-	// Nil/empty/oversized or corrupt bases.
-	for _, basis := range [][]int{nil, {}, {0, 1, 2}, {-5}, {99}} {
-		got := cx.SolveFrom(p, basis)
-		if got.Status != cold.Status || math.Abs(got.Objective-cold.Objective) > 1e-9 {
-			t.Fatalf("basis %v: got %+v, want like %+v", basis, got, cold)
-		}
-	}
-	// Duplicate basis entries.
-	q := NewMaximize([]float64{1, 1})
-	mustAdd(t, q.AddDense([]float64{1, 0}, LE, 2))
-	mustAdd(t, q.AddDense([]float64{0, 1}, LE, 3))
-	got := cx.SolveFrom(q, []int{0, 0})
-	if got.Status != Optimal || math.Abs(got.Objective-5) > 1e-9 {
-		t.Fatalf("duplicate basis: got %+v, want optimal 5", got)
-	}
-	// Infeasible extension must be detected by the dual simplex.
-	r := NewMaximize([]float64{1})
-	mustAdd(t, r.AddDense([]float64{1}, LE, 10))
-	root := cx.Solve(r)
-	if root.Status != Optimal {
-		t.Fatal("root not optimal")
-	}
-	basis := cx.Basis()
-	mustAdd(t, r.PushRow([]int{0}, []float64{1}, GE, 20))
-	if inf := cx.SolveFrom(r, basis); inf.Status != Infeasible {
-		t.Fatalf("infeasible extension: got %v, want infeasible", inf.Status)
-	}
-}
-
-// TestContextSteadyStateAllocs confirms the pooled tableau makes repeat
-// solves allocate only the solution vector.
 func TestContextSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randomProblem(rng)

@@ -16,10 +16,7 @@
 // is cached on the node. Compared to the reference implementation
 // (reference.go) this removes the per-child problem deep copy and the
 // second, redundant solve of every expanded node, while visiting exactly the
-// same tree and producing bit-identical solutions. Options.WarmStart
-// additionally re-optimizes children from the parent's optimal basis via
-// dual simplex — faster still, but pivot paths (and last-ulp rounding) may
-// then differ from the cold path.
+// same tree and producing bit-identical solutions.
 package milp
 
 import (
@@ -49,11 +46,6 @@ type Options struct {
 	MaxNodes int
 	// IntTol is the integrality tolerance. Zero means 1e-6.
 	IntTol float64
-	// WarmStart re-optimizes child relaxations from the parent node's
-	// optimal basis (dual simplex) instead of solving cold. Off by default:
-	// warm-started pivot sequences can differ in last-ulp rounding, and the
-	// default configuration guarantees results bit-identical to Reference.
-	WarmStart bool
 	// Ctx optionally supplies a reusable LP solve context (one per worker);
 	// nil allocates a private one per Solve call.
 	Ctx *lp.Context
@@ -140,7 +132,6 @@ type node struct {
 	bound float64 // LP relaxation objective (in maximization orientation)
 	depth int
 	sol   lp.Solution // cached relaxation solution (solved once, at creation)
-	basis []int       // optimal basis for warm-starting children (WarmStart only)
 }
 
 type nodeQueue []*node
@@ -220,9 +211,6 @@ func solve(p Problem, opts Options, maximize bool) Solution {
 		return Solution{Status: BoundOnly, Bound: dir * math.Inf(1), Nodes: 1}
 	}
 	root := &node{bound: dir * sol.Objective, sol: sol}
-	if opts.WarmStart {
-		root.basis = cx.Basis()
-	}
 
 	work := opts.Work
 	if work == nil {
@@ -239,8 +227,8 @@ func solve(p Problem, opts Options, maximize bool) Solution {
 	defer func() {
 		// Hand the (possibly grown) buffers back for the next search, and
 		// drop every node reference now: a pooled workspace may sit idle
-		// indefinitely, and leftover open nodes pin solution vectors and
-		// warm-start bases. (The final bound scan above runs before this.)
+		// indefinitely, and leftover open nodes pin solution vectors. (The
+		// final bound scan above runs before this.)
 		clear(work.queue)
 		work.queue = work.queue[:0]
 		clear(pathBuf[:cap(pathBuf)])
@@ -248,9 +236,8 @@ func solve(p Problem, opts Options, maximize bool) Solution {
 	}()
 
 	// solveNode materializes the node path onto the shared base LP, solves
-	// the relaxation (warm-started from the parent basis when enabled), and
-	// restores the LP.
-	solveNode := func(path *branchRow, parentBasis []int) lp.Solution {
+	// the relaxation, and restores the LP.
+	solveNode := func(path *branchRow) lp.Solution {
 		pathBuf = pathBuf[:0]
 		for r := path; r != nil; r = r.prev {
 			pathBuf = append(pathBuf, r)
@@ -259,12 +246,7 @@ func solve(p Problem, opts Options, maximize bool) Solution {
 			r := pathBuf[i]
 			_ = p.LP.PushRow(r.idx[:], r.val[:], r.sense, r.rhs)
 		}
-		var s lp.Solution
-		if opts.WarmStart && parentBasis != nil {
-			s = cx.SolveFrom(p.LP, parentBasis)
-		} else {
-			s = cx.Solve(p.LP)
-		}
+		s := cx.Solve(p.LP)
 		for range pathBuf {
 			p.LP.PopRow()
 		}
@@ -308,7 +290,7 @@ func solve(p Problem, opts Options, maximize bool) Solution {
 				prev: n.path, sense: branch.sense, rhs: branch.rhs,
 				idx: [1]int{fracIdx}, val: [1]float64{1}, depth: n.depth + 1,
 			}
-			cs := solveNode(childPath, n.basis)
+			cs := solveNode(childPath)
 			nodes++
 			if cs.Status != lp.Optimal {
 				continue
@@ -317,11 +299,7 @@ func solve(p Problem, opts Options, maximize bool) Solution {
 			if haveBest && cb <= bestObj+1e-9 {
 				continue // pruned by bound
 			}
-			child := &node{path: childPath, bound: cb, depth: n.depth + 1, sol: cs}
-			if opts.WarmStart {
-				child.basis = cx.Basis()
-			}
-			heap.Push(openQueue, child)
+			heap.Push(openQueue, &node{path: childPath, bound: cb, depth: n.depth + 1, sol: cs})
 		}
 	}
 

@@ -74,9 +74,19 @@ func (p *P) And(q *P) *P {
 // satisfies q).
 func (p *P) Implies(q *P) bool { return q.box.ContainsBox(p.box) }
 
-// Overlaps reports whether p ∧ q is satisfiable over the reals. For exact
-// lattice-aware satisfiability use internal/sat.
-func (p *P) Overlaps(q *P) bool { return !p.box.Intersect(q.box).EmptyFor(p.schema) }
+// Overlaps reports whether some point of the schema lattice satisfies both p
+// and q. The test is exact for boxes: the lattice is a product of
+// per-attribute lattices (integers for Integral attributes), so p ∧ q is
+// satisfiable iff every dimension's intersection holds a point of its
+// attribute's kind. It checks dimension by dimension and allocates nothing.
+func (p *P) Overlaps(q *P) bool {
+	for i, iv := range p.box {
+		if iv.Intersect(q.box[i]).EmptyFor(p.schema.Attr(i).Kind) {
+			return false
+		}
+	}
+	return true
+}
 
 // Equal reports whether two predicates denote the same box.
 func (p *P) Equal(q *P) bool {

@@ -138,6 +138,47 @@ func TestOverlapsLatticeAware(t *testing.T) {
 	}
 }
 
+// TestOverlapsMatchesBoxIntersect checks Overlaps against the lattice
+// emptiness of the intersected boxes, both ways round, and that it does
+// not allocate.
+func TestOverlapsMatchesBoxIntersect(t *testing.T) {
+	s := testSchema()
+	b := func() *Builder { return NewBuilder(s) }
+	tests := []struct {
+		name string
+		p, q *P
+		want bool
+	}{
+		{"nested", b().Range("price", 10, 20).Eq("branch", 1).Build(), b().Range("price", 0, 100).Build(), true},
+		{"apart on price", b().Range("price", 0, 10).Build(), b().Range("price", 500, 600).Build(), false},
+		{"touching endpoints", b().Range("price", 0, 10).Build(), b().Range("price", 10, 20).Build(), true},
+		{"integer hole", b().Range("branch", 0.2, 0.8).Build(), b().Range("branch", 0, 4).Build(), false},
+		{"integer-free intersection", b().Range("branch", 0, 1.8).Build(), b().Range("branch", 1.2, 4).Build(), false},
+		{"shared integer", b().Range("branch", 0, 1).Build(), b().Range("branch", 1, 3).Build(), true},
+		{"fractional ends around an integer", b().Range("utc", 5.5, 6.5).Build(), b().Range("utc", 6, 7).Build(), true},
+		{"fractional ends between integers", b().Range("utc", 5.1, 5.9).Build(), b().Range("utc", 5, 6).Build(), false},
+		{"continuous sliver", b().Range("price", 0.2, 0.8).Build(), b().Range("price", 0.5, 0.6).Build(), true},
+		{"empty predicate", b().Range("price", 10, 5).Build(), True(s), false},
+		{"meet on one attribute only", b().Range("price", 0, 10).Eq("branch", 1).Build(), b().Range("price", 5, 15).Eq("branch", 2).Build(), false},
+		{"meet on every attribute", b().Range("price", 0, 10).Range("utc", 0, 3).Build(), b().Range("price", 5, 15).Range("utc", 3, 9).Build(), true},
+	}
+	for _, tc := range tests {
+		oracle := !tc.p.Box().Intersect(tc.q.Box()).EmptyFor(s)
+		if oracle != tc.want {
+			t.Fatalf("%s: table says %v, box intersection says %v", tc.name, tc.want, oracle)
+		}
+		if got := tc.p.Overlaps(tc.q); got != tc.want {
+			t.Errorf("%s: p.Overlaps(q) = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := tc.q.Overlaps(tc.p); got != tc.want {
+			t.Errorf("%s: q.Overlaps(p) = %v, want %v", tc.name, got, tc.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { tc.p.Overlaps(tc.q) }); allocs != 0 {
+			t.Errorf("%s: Overlaps allocates %.1f objects per call, want 0", tc.name, allocs)
+		}
+	}
+}
+
 func TestIsEmpty(t *testing.T) {
 	s := testSchema()
 	if NewBuilder(s).Range("price", 10, 5).Build().IsEmpty() != true {

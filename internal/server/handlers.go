@@ -716,14 +716,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "pcserved_tier_degraded_total %d\n", s.tmet.degraded.Load())
 	if sv.tier != nil {
 		ts := sv.tier.Stats()
+		// The disjointness certificate the summary tier answers under is the
+		// store's overlap count.
+		snap := sv.store.Snapshot()
 		disjoint := 0
-		if ts.Disjoint {
+		if snap.Disjoint() {
 			disjoint = 1
 		}
 		fmt.Fprintf(w, "pcserved_tier_summary_entries %d\n", ts.Entries)
 		fmt.Fprintf(w, "pcserved_tier_summary_epoch %d\n", ts.Epoch)
 		fmt.Fprintf(w, "pcserved_tier_summary_mutations_total %d\n", ts.Mutations)
-		fmt.Fprintf(w, "pcserved_tier_summary_overlap_pairs %d\n", ts.OverlapPairs)
+		fmt.Fprintf(w, "pcserved_tier_summary_overlap_pairs %d\n", snap.OverlapPairs())
 		fmt.Fprintf(w, "pcserved_tier_summary_disjoint %d\n", disjoint)
 		fmt.Fprintf(w, "pcserved_tier_summary_evals_total %d\n", ts.Evals)
 		fmt.Fprintf(w, "pcserved_tier_summary_sketch_evals_total %d\n", ts.SketchEvals)

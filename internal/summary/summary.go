@@ -15,9 +15,11 @@
 // store consumes the same Add/Remove/Replace mutation stream the WAL does,
 // updating per-entry summaries (predicate box, value-row box, cardinality
 // bounds, lattice-groundedness bits) and a whole-store coefficient sketch
-// (per-attribute signed sums of value·cardinality corners, value hulls,
-// non-emptiness witnesses, and the pairwise-overlap count that certifies
-// disjointness). Sketch sums are recomputed in entry order on every
+// (per-attribute signed sums of value·cardinality corners, value hulls, and
+// non-emptiness witnesses). The disjointness certificate that makes lower
+// cardinality bounds and non-emptiness claims sound is not kept here: it is
+// the core store's pairwise-overlap count, passed in by the caller on each
+// Eval. Sketch sums are recomputed in entry order on every
 // mutation rather than adjusted in place: float addition does not have
 // exact inverses, and a drifting sum could dip below the true bound and
 // break soundness. The rebuild is O(n·dims), amortized into the write path,
@@ -115,13 +117,11 @@ type Result struct {
 
 // Stats is a point-in-time snapshot of the store's state and counters.
 type Stats struct {
-	Entries      int
-	Epoch        uint64
-	Mutations    uint64
-	OverlapPairs int
-	Disjoint     bool
-	Evals        int64
-	SketchEvals  int64
+	Entries     int
+	Epoch       uint64
+	Mutations   uint64
+	Evals       int64
+	SketchEvals int64
 }
 
 // Store holds the live summaries. It is safe for concurrent use; reads take
@@ -130,17 +130,12 @@ type Store struct {
 	schema *domain.Schema
 	full   domain.Box
 
-	mu      sync.RWMutex
-	ids     []uint64 // guarded by mu; aligned with entries, insertion order
-	entries []entry  // guarded by mu
-	epoch   uint64   // guarded by mu; the store epoch these summaries reflect
-	// overlapPairs counts unordered entry pairs whose predicate boxes share
-	// a schema-lattice point. Zero certifies pairwise disjointness, which
-	// is what makes summary lower cardinality bounds and non-emptiness
-	// claims sound. Maintained incrementally: O(n·dims) per mutation.
-	overlapPairs int    // guarded by mu
-	mutations    uint64 // guarded by mu; mutations applied since Reset
-	sk           sketch // guarded by mu
+	mu        sync.RWMutex
+	ids       []uint64 // guarded by mu; aligned with entries, insertion order
+	entries   []entry  // guarded by mu
+	epoch     uint64   // guarded by mu; the store epoch these summaries reflect
+	mutations uint64   // guarded by mu; mutations applied since Reset
+	sk        sketch   // guarded by mu
 
 	evals       atomic.Int64 // total Eval calls that answered
 	sketchEvals atomic.Int64 // Eval calls answered from the O(dims) sketch
@@ -166,14 +161,6 @@ func (s *Store) Reset(ids []uint64, cs []Constraint, epoch uint64) {
 	}
 	s.epoch = epoch
 	s.mutations = 0
-	s.overlapPairs = 0
-	for i := range s.entries {
-		for j := i + 1; j < len(s.entries); j++ {
-			if s.overlapLocked(i, j) {
-				s.overlapPairs++
-			}
-		}
-	}
 	s.rebuildSketchLocked()
 }
 
@@ -183,14 +170,8 @@ func (s *Store) Add(epoch uint64, ids []uint64, cs []Constraint) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for k, c := range cs {
-		e := s.newEntry(c)
-		for j := range s.entries {
-			if s.overlapEntries(e, s.entries[j]) {
-				s.overlapPairs++
-			}
-		}
 		s.ids = append(s.ids, ids[k])
-		s.entries = append(s.entries, e)
+		s.entries = append(s.entries, s.newEntry(c))
 	}
 	s.commitLocked(epoch)
 }
@@ -203,11 +184,6 @@ func (s *Store) Remove(epoch uint64, id uint64) bool {
 	i := s.indexLocked(id)
 	if i < 0 {
 		return false
-	}
-	for j := range s.entries {
-		if j != i && s.overlapLocked(i, j) {
-			s.overlapPairs--
-		}
 	}
 	s.ids = append(s.ids[:i], s.ids[i+1:]...)
 	s.entries = append(s.entries[:i], s.entries[i+1:]...)
@@ -224,28 +200,9 @@ func (s *Store) Replace(epoch uint64, id uint64, c Constraint) bool {
 	if i < 0 {
 		return false
 	}
-	for j := range s.entries {
-		if j != i && s.overlapLocked(i, j) {
-			s.overlapPairs--
-		}
-	}
 	s.entries[i] = s.newEntry(c)
-	for j := range s.entries {
-		if j != i && s.overlapLocked(i, j) {
-			s.overlapPairs++
-		}
-	}
 	s.commitLocked(epoch)
 	return true
-}
-
-// SetEpoch records an epoch advance that did not change any constraint
-// (e.g. a replayed no-op). Present for completeness; the core overlay uses
-// the mutating calls above.
-func (s *Store) SetEpoch(epoch uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch = epoch
 }
 
 // Epoch returns the store epoch the summaries currently reflect.
@@ -267,13 +224,11 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return Stats{
-		Entries:      len(s.entries),
-		Epoch:        s.epoch,
-		Mutations:    s.mutations,
-		OverlapPairs: s.overlapPairs,
-		Disjoint:     s.overlapPairs == 0,
-		Evals:        s.evals.Load(),
-		SketchEvals:  s.sketchEvals.Load(),
+		Entries:     len(s.entries),
+		Epoch:       s.epoch,
+		Mutations:   s.mutations,
+		Evals:       s.evals.Load(),
+		SketchEvals: s.sketchEvals.Load(),
 	}
 }
 
@@ -298,17 +253,6 @@ func (s *Store) newEntry(c Constraint) entry {
 		predEmpty: c.Pred.EmptyFor(s.schema),
 		grounded:  !c.Pred.Intersect(s.full).EmptyFor(s.schema),
 	}
-}
-
-func (s *Store) overlapLocked(i, j int) bool {
-	return s.overlapEntries(s.entries[i], s.entries[j])
-}
-
-func (s *Store) overlapEntries(a, b entry) bool {
-	if a.predEmpty || b.predEmpty {
-		return false
-	}
-	return !a.c.Pred.Intersect(b.c.Pred).EmptyFor(s.schema)
 }
 
 // rebuildSketchLocked recomputes the whole-store sketch from the entries,
@@ -367,8 +311,11 @@ func (s *Store) rebuildSketchLocked() {
 // domain) from summaries alone. attr indexes the aggregated attribute and
 // is ignored for Count. The answer is only valid for the given store epoch:
 // Eval reports ok=false when the summaries have moved past (or not reached)
-// it, and the caller must escalate to the exact path.
-func (s *Store) Eval(agg Agg, attr int, where domain.Box, epoch uint64) (Result, bool) {
+// it, and the caller must escalate to the exact path. disjoint is the
+// certificate that the constraint predicates at that epoch are pairwise
+// non-overlapping on the schema lattice; only then does the answer claim
+// lower cardinality bounds or non-emptiness.
+func (s *Store) Eval(agg Agg, attr int, where domain.Box, epoch uint64, disjoint bool) (Result, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if epoch != s.epoch {
@@ -384,11 +331,11 @@ func (s *Store) Eval(agg Agg, attr int, where domain.Box, epoch uint64) (Result,
 	}
 	var res Result
 	if where == nil {
-		res = s.evalSketchLocked(agg, attr)
+		res = s.evalSketchLocked(agg, attr, disjoint)
 		s.sketchEvals.Add(1)
 	} else {
 		var ok bool
-		res, ok = s.evalScanLocked(agg, attr, where)
+		res, ok = s.evalScanLocked(agg, attr, where, disjoint)
 		if !ok {
 			return Result{}, false
 		}
@@ -399,8 +346,7 @@ func (s *Store) Eval(agg Agg, attr int, where domain.Box, epoch uint64) (Result,
 
 // evalSketchLocked answers a whole-domain query from the precomputed
 // sketch in O(dims).
-func (s *Store) evalSketchLocked(agg Agg, attr int) Result {
-	disjoint := s.overlapPairs == 0
+func (s *Store) evalSketchLocked(agg Agg, attr int, disjoint bool) Result {
 	res := Result{Entries: len(s.entries)}
 	switch agg {
 	case Count:
@@ -421,11 +367,10 @@ func (s *Store) evalSketchLocked(agg Agg, attr int) Result {
 
 // evalScanLocked answers a region-restricted query with one pass over the
 // entries, O(n·dims).
-func (s *Store) evalScanLocked(agg Agg, attr int, where domain.Box) (Result, bool) {
+func (s *Store) evalScanLocked(agg Agg, attr int, where domain.Box, disjoint bool) (Result, bool) {
 	if len(where) != s.schema.Len() {
 		return Result{}, false
 	}
-	disjoint := s.overlapPairs == 0
 	res := Result{}
 	switch agg {
 	case Avg, Min, Max:

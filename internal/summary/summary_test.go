@@ -23,61 +23,17 @@ func cons(s *domain.Schema, plo, phi, vlo, vhi, klo, khi float64) Constraint {
 	return Constraint{Pred: pred, Row: pred.Intersect(values), KLo: klo, KHi: khi}
 }
 
-// bruteOverlapPairs recomputes the pairwise-overlap count from scratch.
-func bruteOverlapPairs(s *Store) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for i := range s.entries {
-		for j := i + 1; j < len(s.entries); j++ {
-			if s.overlapLocked(i, j) {
-				n++
+// pairwiseDisjoint reports whether no two constraints' predicates share a
+// schema-lattice point: the certificate Eval takes from its caller.
+func pairwiseDisjoint(s *domain.Schema, cs ...Constraint) bool {
+	for i := range cs {
+		for j := i + 1; j < len(cs); j++ {
+			if !cs[i].Pred.Intersect(cs[j].Pred).EmptyFor(s) {
+				return false
 			}
 		}
 	}
-	return n
-}
-
-// TestOverlapPairsIncremental: the incrementally maintained pair count must
-// match a from-scratch recount after every random mutation.
-func TestOverlapPairsIncremental(t *testing.T) {
-	s := testSchema()
-	st := New(s)
-	rng := rand.New(rand.NewSource(11))
-	randCons := func() Constraint {
-		lo := rng.Float64() * 25
-		return cons(s, lo, lo+1+rng.Float64()*8, 0, 100, float64(rng.Intn(2)), float64(1+rng.Intn(5)))
-	}
-	var ids []uint64
-	next := uint64(0)
-	epoch := uint64(0)
-	for step := 0; step < 200; step++ {
-		switch op := rng.Intn(3); {
-		case op == 0 || len(ids) < 3:
-			next++
-			epoch++
-			st.Add(epoch, []uint64{next}, []Constraint{randCons()})
-			ids = append(ids, next)
-		case op == 1:
-			k := rng.Intn(len(ids))
-			epoch++
-			if !st.Remove(epoch, ids[k]) {
-				t.Fatalf("step %d: live id %d not found", step, ids[k])
-			}
-			ids = append(ids[:k], ids[k+1:]...)
-		default:
-			epoch++
-			if !st.Replace(epoch, ids[rng.Intn(len(ids))], randCons()) {
-				t.Fatalf("step %d: replace missed a live id", step)
-			}
-		}
-		if got, want := st.Stats().OverlapPairs, bruteOverlapPairs(st); got != want {
-			t.Fatalf("step %d: incremental overlap pairs %d != recount %d", step, got, want)
-		}
-	}
-	if st.Stats().Epoch != epoch || st.Stats().Mutations != 200 {
-		t.Fatalf("bookkeeping drifted: %+v (want epoch %d, 200 mutations)", st.Stats(), epoch)
-	}
+	return true
 }
 
 // TestSketchMatchesScan: for in-domain constraints, the O(dims) sketch
@@ -96,13 +52,14 @@ func TestSketchMatchesScan(t *testing.T) {
 		cs = append(cs, cons(s, lo, lo+1+rng.Float64()*6, vlo, vlo+rng.Float64()*100, float64(rng.Intn(2)), float64(rng.Intn(6))))
 	}
 	st.Reset(ids, cs, 5)
+	disjoint := pairwiseDisjoint(s, cs...)
 	full := s.FullBox()
 	for agg := Count; agg <= Max; agg++ {
-		sk, ok := st.Eval(agg, 1, nil, 5)
+		sk, ok := st.Eval(agg, 1, nil, 5, disjoint)
 		if !ok {
 			t.Fatalf("agg %d: sketch eval refused", agg)
 		}
-		scan, ok := st.Eval(agg, 1, full, 5)
+		scan, ok := st.Eval(agg, 1, full, 5, disjoint)
 		if !ok {
 			t.Fatalf("agg %d: scan eval refused", agg)
 		}
@@ -124,60 +81,65 @@ func TestEpochGate(t *testing.T) {
 	s := testSchema()
 	st := New(s)
 	st.Reset([]uint64{1}, []Constraint{cons(s, 0, 5, 1, 2, 1, 3)}, 7)
-	if _, ok := st.Eval(Count, -1, nil, 6); ok {
+	if _, ok := st.Eval(Count, -1, nil, 6, true); ok {
 		t.Fatal("stale epoch served")
 	}
-	if _, ok := st.Eval(Count, -1, nil, 8); ok {
+	if _, ok := st.Eval(Count, -1, nil, 8, true); ok {
 		t.Fatal("future epoch served")
 	}
-	if _, ok := st.Eval(Count, -1, nil, 7); !ok {
+	if _, ok := st.Eval(Count, -1, nil, 7, true); !ok {
 		t.Fatal("current epoch refused")
 	}
-	if _, ok := st.Eval(Sum, 7, nil, 7); ok {
+	if _, ok := st.Eval(Sum, 7, nil, 7, true); ok {
 		t.Fatal("out-of-range attribute served")
 	}
-	if _, ok := st.Eval(Agg(99), 1, nil, 7); ok {
+	if _, ok := st.Eval(Agg(99), 1, nil, 7, true); ok {
 		t.Fatal("unknown aggregate served from scan path")
 	}
 }
 
-// TestDisjointCertificate: with pairwise-disjoint constraints the store
-// certifies COUNT lower bounds and non-emptiness; one overlapping insert
-// revokes both, and removing it restores them.
+// TestDisjointCertificate: with pairwise-disjoint constraints the caller's
+// certificate lets the store claim COUNT lower bounds and non-emptiness; one
+// overlapping insert revokes the certificate and both claims, and removing it
+// restores them.
 func TestDisjointCertificate(t *testing.T) {
 	s := testSchema()
 	st := New(s)
-	st.Reset(
-		[]uint64{1, 2},
-		[]Constraint{cons(s, 0, 2, 10, 20, 2, 4), cons(s, 4, 6, 30, 40, 1, 5)},
-		1,
-	)
-	r, ok := st.Eval(Count, -1, nil, 1)
+	a, b := cons(s, 0, 2, 10, 20, 2, 4), cons(s, 4, 6, 30, 40, 1, 5)
+	st.Reset([]uint64{1, 2}, []Constraint{a, b}, 1)
+	disjoint := pairwiseDisjoint(s, a, b)
+	if !disjoint {
+		t.Fatal("fixture constraints overlap")
+	}
+	r, ok := st.Eval(Count, -1, nil, 1, disjoint)
 	if !ok || r.Lo != 3 || r.Hi != 9 {
 		t.Fatalf("disjoint count: got %+v ok=%v, want [3,9]", r, ok)
 	}
-	r, _ = st.Eval(Min, 1, nil, 1)
+	r, _ = st.Eval(Min, 1, nil, 1, disjoint)
 	if r.MaybeEmpty || r.Lo != 10 || r.Hi != 40 {
 		t.Fatalf("disjoint min hull: got %+v, want certain [10,40]", r)
 	}
 
-	st.Add(2, []uint64{3}, []Constraint{cons(s, 1, 5, 0, 1, 1, 2)})
-	if st.Stats().Disjoint {
+	c := cons(s, 1, 5, 0, 1, 1, 2)
+	st.Add(2, []uint64{3}, []Constraint{c})
+	disjoint = pairwiseDisjoint(s, a, b, c)
+	if disjoint {
 		t.Fatal("overlapping insert kept the disjointness certificate")
 	}
-	r, _ = st.Eval(Count, -1, nil, 2)
+	r, _ = st.Eval(Count, -1, nil, 2, disjoint)
 	if r.Lo != 0 || r.Hi != 11 {
 		t.Fatalf("overlapping count: got %+v, want [0,11]", r)
 	}
-	if r, _ = st.Eval(Min, 1, nil, 2); !r.MaybeEmpty {
+	if r, _ = st.Eval(Min, 1, nil, 2, disjoint); !r.MaybeEmpty {
 		t.Fatal("overlapping store still claims non-emptiness")
 	}
 
 	st.Remove(3, 3)
-	if !st.Stats().Disjoint {
+	disjoint = pairwiseDisjoint(s, a, b)
+	if !disjoint {
 		t.Fatal("removing the overlap did not restore the certificate")
 	}
-	if r, _ = st.Eval(Count, -1, nil, 3); r.Lo != 3 {
+	if r, _ = st.Eval(Count, -1, nil, 3, disjoint); r.Lo != 3 {
 		t.Fatalf("restored count lower bound: got %+v, want Lo=3", r)
 	}
 }
@@ -194,29 +156,29 @@ func TestRegionScan(t *testing.T) {
 	)
 	// Region covers constraint 1 entirely, misses constraint 2.
 	region := domain.Box{domain.NewInterval(0, 5), s.Attr(1).Domain}
-	r, ok := st.Eval(Count, -1, region, 1)
+	r, ok := st.Eval(Count, -1, region, 1, true)
 	if !ok || r.Lo != 2 || r.Hi != 4 || r.Entries != 1 {
 		t.Fatalf("contained region count: %+v ok=%v, want [2,4] over 1 entry", r, ok)
 	}
 	// Region straddles constraint 2: upper bound keeps its KHi, lower
 	// bound gets nothing (the rows may live in the uncovered half).
 	region = domain.Box{domain.NewInterval(12, 20), s.Attr(1).Domain}
-	if r, _ = st.Eval(Count, -1, region, 1); r.Lo != 0 || r.Hi != 5 {
+	if r, _ = st.Eval(Count, -1, region, 1, true); r.Lo != 0 || r.Hi != 5 {
 		t.Fatalf("straddling region count: %+v, want [0,5]", r)
 	}
-	if r, _ = st.Eval(Max, 1, region, 1); !r.MaybeEmpty || r.Lo != 30 || r.Hi != 40 {
+	if r, _ = st.Eval(Max, 1, region, 1, true); !r.MaybeEmpty || r.Lo != 30 || r.Hi != 40 {
 		t.Fatalf("straddling region max: %+v, want uncertain [30,40]", r)
 	}
 	// Region touching nothing: empty hull, zero counts.
 	region = domain.Box{domain.NewInterval(20, 25), s.Attr(1).Domain}
-	if r, _ = st.Eval(Sum, 1, region, 1); r.Lo != 0 || r.Hi != 0 || r.Entries != 0 {
+	if r, _ = st.Eval(Sum, 1, region, 1, true); r.Lo != 0 || r.Hi != 0 || r.Entries != 0 {
 		t.Fatalf("void region sum: %+v, want [0,0]", r)
 	}
-	if r, _ = st.Eval(Avg, 1, region, 1); !math.IsInf(r.Lo, 1) || !math.IsInf(r.Hi, -1) {
+	if r, _ = st.Eval(Avg, 1, region, 1, true); !math.IsInf(r.Lo, 1) || !math.IsInf(r.Hi, -1) {
 		t.Fatalf("void region avg: %+v, want empty hull", r)
 	}
 	// Dimension-mismatched region is refused.
-	if _, ok := st.Eval(Count, -1, domain.Box{domain.NewInterval(0, 1)}, 1); ok {
+	if _, ok := st.Eval(Count, -1, domain.Box{domain.NewInterval(0, 1)}, 1, true); ok {
 		t.Fatal("mismatched region dimensionality served")
 	}
 }
