@@ -280,149 +280,6 @@ func BenchmarkAblationParallelBatch(b *testing.B) {
 	})
 }
 
-// --- Hot-path benchmarks (PR 2) ---
-
-// hotPathWorkload is one BenchmarkHotPath scenario: a constraint set, a
-// query mix over all five aggregates, and the engine options that shape
-// where the time goes (SAT-dominated decomposition, MILP-dominated
-// allocation search, or an even mix).
-type hotPathWorkload struct {
-	name    string
-	set     *core.Set
-	queries []core.Query
-	opts    core.Options
-}
-
-func hotPathWorkloads(b *testing.B) []hotPathWorkload {
-	b.Helper()
-	allAggs := func(gen *workload.Gen, n int) []core.Query {
-		var qs []core.Query
-		for _, agg := range []core.Agg{core.Count, core.Sum, core.Avg, core.Min, core.Max} {
-			qs = append(qs, gen.Queries(n, agg)...)
-		}
-		return qs
-	}
-
-	// SAT-heavy: a dense overlapping constraint set with the decomposition
-	// cache disabled, so every query pays the full DFS+SAT+projection cost.
-	tb := data.Intel(3000, 1)
-	_, missing := tb.RemoveTopFraction("light", 0.3)
-	rng := rand.New(rand.NewSource(41))
-	satSet, err := pcgen.RandPC(missing, []string{"device", "time"}, 36, 10, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	satGen := workload.New(missing.Schema(), []string{"device", "time"}, "light", 11)
-	satHeavy := hotPathWorkload{
-		name:    "sat-heavy",
-		set:     satSet,
-		queries: allAggs(satGen, 3),
-		opts:    core.Options{DisableDecompCache: true},
-	}
-
-	// MILP-heavy: the cache amortizes decomposition across repeated regions,
-	// so branch-and-bound, feasibility probes and threshold searches
-	// dominate. MIN/MAX/AVG issue the most MILP solves per query.
-	rng2 := rand.New(rand.NewSource(43))
-	milpSet, err := pcgen.RandPC(missing, []string{"device", "time"}, 18, 10, rng2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	milpGen := workload.New(missing.Schema(), []string{"device", "time"}, "light", 13)
-	milpQueries := allAggs(milpGen, 2)
-	// Repeat the regions so the decomposition cache absorbs SAT work.
-	milpQueries = append(milpQueries, milpQueries...)
-	milpHeavy := hotPathWorkload{
-		name:    "milp-heavy",
-		set:     milpSet,
-		queries: milpQueries,
-		opts:    core.Options{},
-	}
-
-	// Mixed: fresh decompositions and full allocation searches together.
-	mixed := hotPathWorkload{
-		name:    "mixed",
-		set:     milpSet,
-		queries: allAggs(milpGen, 3),
-		opts:    core.Options{DisableDecompCache: true},
-	}
-	return []hotPathWorkload{satHeavy, milpHeavy, mixed}
-}
-
-func runHotPath(b *testing.B, w hotPathWorkload, reference bool) []core.Range {
-	b.Helper()
-	opts := w.opts
-	opts.Reference = reference
-	engine := core.NewEngine(w.set, nil, opts)
-	out := make([]core.Range, len(w.queries))
-	for qi, q := range w.queries {
-		var err error
-		out[qi], err = engine.Bound(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return out
-}
-
-// BenchmarkHotPath measures the optimized bounding stack (arena SAT with
-// spatial pruning, incremental cell DFS, pooled LP contexts, cached-solution
-// branch-and-bound) against the preserved pre-optimization path
-// (core.Options.Reference) on SAT-heavy, MILP-heavy and mixed workloads.
-//
-// The reference/optimized sub-benchmarks report ns/op and allocs/op for each
-// path; the speedup sub-benchmark runs both back to back, verifies the Range
-// outputs of all five aggregates are bit-identical, and reports the
-// wall-clock speedup and the allocation reduction factor.
-func BenchmarkHotPath(b *testing.B) {
-	for _, w := range hotPathWorkloads(b) {
-		b.Run(w.name+"/reference", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runHotPath(b, w, true)
-			}
-		})
-		b.Run(w.name+"/optimized", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runHotPath(b, w, false)
-			}
-		})
-		b.Run(w.name+"/speedup", func(b *testing.B) {
-			var refTime, optTime time.Duration
-			var refAllocs, optAllocs uint64
-			var ms runtime.MemStats
-			for i := 0; i < b.N; i++ {
-				runtime.ReadMemStats(&ms)
-				m0 := ms.Mallocs
-				start := time.Now()
-				want := runHotPath(b, w, true)
-				refTime += time.Since(start)
-				runtime.ReadMemStats(&ms)
-				refAllocs += ms.Mallocs - m0
-
-				runtime.ReadMemStats(&ms)
-				m0 = ms.Mallocs
-				start = time.Now()
-				got := runHotPath(b, w, false)
-				optTime += time.Since(start)
-				runtime.ReadMemStats(&ms)
-				optAllocs += ms.Mallocs - m0
-
-				for qi := range want {
-					if got[qi] != want[qi] {
-						b.Fatalf("query %d (%v): optimized range %+v != reference %+v",
-							qi, w.queries[qi].Agg, got[qi], want[qi])
-					}
-				}
-			}
-			b.ReportMetric(float64(refTime)/float64(optTime), "speedup")
-			b.ReportMetric(float64(refAllocs)/float64(optAllocs), "alloc_reduction")
-			b.ReportMetric(float64(len(w.queries)), "queries")
-		})
-	}
-}
-
 // --- Constraint-store benchmarks (PR 3) ---
 
 // incrementalStore builds a store of overlapping constraint "chains" along an

@@ -48,7 +48,7 @@ func (e *Engine) newRunner(cp *cellProblem, sc *solveCtx) cellRunner {
 }
 
 // seq reports whether tasks run inline on the caller (the sequential
-// reference path: Options.SequentialCells or Options.Reference).
+// path: Options.SequentialCells).
 func (r *cellRunner) seq() bool { return r.e.sched == nil }
 
 // taskCtx returns the solve context for a scheduler workspace, creating a

@@ -50,10 +50,11 @@ import (
 // and the engine's solver-option signature, so option changes can never
 // alias results.
 
-// DefaultCellCacheSize is the per-cell bound cache key capacity used when
-// Options.CellCacheSize is zero. Cell-solve results are tiny (a bool, a
+// DefaultCellCacheSize is the per-cell bound cache's key capacity. Every
+// engine sizes its cache with it. Cell-solve results are tiny (a bool, a
 // float64, or a solveResult struct), so the cache is sized by key count,
-// not bytes.
+// not bytes. Like the decomposition cache, each key may hold up to two
+// epoch-interval entries, and eviction only ever costs recomputation.
 const DefaultCellCacheSize = 32768
 
 // cellBoundCache memoizes cell-solve task results with epoch-interval

@@ -134,28 +134,15 @@ type Options struct {
 	// index-addressed slots and every reduction runs in fixed cell order.
 	Scheduler *sched.Scheduler
 	// SequentialCells disables intra-query parallelism: cell solves run
-	// inline on the calling goroutine in index order. This is the reference
-	// path the differential tests pin the scheduler path against; results
-	// are bit-identical either way.
+	// inline on the calling goroutine in index order. This is the
+	// sequential path the differential tests pin the scheduler path
+	// against; results are bit-identical either way.
 	SequentialCells bool
 	// DisableCellCache turns off the epoch-scoped per-cell bound cache,
 	// forcing every query to re-run its cell-level LP/MILP solves even when
 	// an earlier query (or group-by group) already solved content-identical
 	// cells. See cellcache.go.
 	DisableCellCache bool
-	// CellCacheSize caps the number of cached cell-solve keys
-	// (0 = DefaultCellCacheSize). Entries are small scalar results; like the
-	// decomposition cache, each key may hold up to two epoch-interval
-	// entries and eviction only ever costs recomputation.
-	CellCacheSize int
-	// Reference routes every optimized hot-path layer to its preserved
-	// pre-optimization implementation: the recursive SAT search, the
-	// clone-per-child branch-and-bound, and per-solve LP assembly, with
-	// sequential cell solving and no cell-bound cache. Results are
-	// bit-identical to the default configuration; the flag exists for
-	// differential testing and benchmarking (see BenchmarkHotPath). It only
-	// takes effect for solvers the engine creates itself (pass solver=nil).
-	Reference bool
 	// Summary supplies the tiered-precision overlay (see AttachSummary):
 	// sound O(dims) interval answers maintained from the store's mutation
 	// stream, with escalation to the exact path when the loose interval
@@ -183,11 +170,11 @@ type Engine struct {
 	cache  *decompCache // nil when DisableDecompCache is set
 	// cellCache memoizes cell-solve results (per-cell feasibility,
 	// directional solves, search endpoints) with epoch-interval validity;
-	// nil when DisableCellCache or Reference is set. Shared across the
-	// Rebind lineage like the decomposition cache.
+	// nil when DisableCellCache is set. Shared across the Rebind lineage
+	// like the decomposition cache.
 	cellCache *cellBoundCache
 	// sched dispatches per-cell solve tasks; nil runs cells sequentially
-	// (SequentialCells or Reference).
+	// (SequentialCells).
 	sched *sched.Scheduler
 	// optsSig tags cell-cache keys with the solver options that can shape a
 	// solve result, so entries can never alias across configurations.
@@ -213,7 +200,6 @@ func NewEngine(set *Store, solver *sat.Solver, opts Options) *Engine {
 func NewEngineAt(snap *Snapshot, solver *sat.Solver, opts Options) *Engine {
 	if solver == nil {
 		solver = sat.New(snap.Schema())
-		solver.UseReference(opts.Reference)
 	}
 	e := &Engine{snap: snap, solver: solver, opts: opts, ctxPool: &sync.Pool{}}
 	if !opts.DisableDecompCache {
@@ -223,15 +209,11 @@ func NewEngineAt(snap *Snapshot, solver *sat.Solver, opts Options) *Engine {
 		}
 		e.cache = newDecompCache(size, snap.Store())
 	}
-	if !opts.DisableCellCache && !opts.Reference {
-		size := opts.CellCacheSize
-		if size <= 0 {
-			size = DefaultCellCacheSize
-		}
-		e.cellCache = newCellBoundCache(size, snap.Store())
+	if !opts.DisableCellCache {
+		e.cellCache = newCellBoundCache(DefaultCellCacheSize, snap.Store())
 		e.optsSig = milpOptsSig(opts.MILP)
 	}
-	if !opts.SequentialCells && !opts.Reference {
+	if !opts.SequentialCells {
 		e.sched = opts.Scheduler
 		if e.sched == nil {
 			e.sched = sched.Shared()
@@ -281,32 +263,22 @@ func (sc *solveCtx) zeroObj(n int) []float64 {
 	return sc.zeros
 }
 
-// acquireCtx returns a pooled solve context, or nil in Reference mode (the
-// reference path assembles a fresh LP per solve, like the seed did).
+// acquireCtx returns a pooled solve context.
 func (e *Engine) acquireCtx() *solveCtx {
-	if e.opts.Reference {
-		return nil
-	}
 	if v := e.ctxPool.Get(); v != nil {
 		return v.(*solveCtx)
 	}
 	return &solveCtx{}
 }
 
-func (e *Engine) releaseCtx(sc *solveCtx) {
-	if sc != nil {
-		e.ctxPool.Put(sc)
-	}
-}
+func (e *Engine) releaseCtx(sc *solveCtx) { e.ctxPool.Put(sc) }
 
-// milpOpts returns the per-query MILP options with the engine-level
-// reference flag applied. The per-executor Ctx/Work are attached at solve
-// time from whichever solve context runs the task.
+// milpOpts returns the per-query MILP options. The per-executor Ctx/Work
+// are attached at solve time from whichever solve context runs the task.
 func (e *Engine) milpOpts() milp.Options {
 	m := e.opts.MILP
 	m.Ctx = nil
 	m.Work = nil
-	m.Reference = e.opts.Reference
 	return m
 }
 
@@ -317,7 +289,7 @@ func (e *Engine) Snapshot() *Snapshot { return e.snap }
 func (e *Engine) Solver() *sat.Solver { return e.solver }
 
 // Scheduler returns the cell-solve scheduler the engine dispatches to, or
-// nil when cell solves run sequentially (SequentialCells or Reference).
+// nil when cell solves run sequentially (SequentialCells).
 func (e *Engine) Scheduler() *sched.Scheduler { return e.sched }
 
 // Bound dispatches on the aggregate kind.
@@ -503,11 +475,14 @@ func (cp *cellProblem) constraintIdx() []int {
 	return idx
 }
 
-// buildInto assembles the same LP buildLP does, but into the context's
-// reused problem shell: rows are pushed as references to the cellProblem's
-// immutable index/coefficient slices, so assembling a variant (direction,
-// relaxation, forbidden cells) costs no row allocation. The row order is
-// identical to buildLP's, which keeps solves bit-identical.
+// buildInto assembles the cell problem's LP into the context's reused
+// problem shell. obj must have one coefficient per cell; forbidZero lists
+// cells constrained to x=0, atLeastOne adds Σx ≥ 1, and relaxKLo drops
+// frequency lower bounds. Rows are pushed as references to the
+// cellProblem's immutable index/coefficient slices, so assembling a variant
+// (direction, relaxation, forbidden cells) costs no row allocation. The
+// per-solve assembly it replaced survives as the test oracle in
+// reference_test.go, which pins the row order and so the solve bits.
 func (cp *cellProblem) buildInto(sc *solveCtx, obj []float64, maximize bool, forbidZero []bool, atLeastOne bool, relaxKLo bool) *lp.Problem {
 	p := &sc.prob
 	p.Reset(obj, maximize)
@@ -536,47 +511,6 @@ func (cp *cellProblem) buildInto(sc *solveCtx, obj []float64, maximize bool, for
 	return p
 }
 
-// buildLP assembles the base LP (no objective semantics; obj must have one
-// coefficient per cell). forbidZero lists cells constrained to x=0, and
-// atLeastOne adds Σx ≥ 1. relaxKLo drops frequency lower bounds. It is the
-// reference-path assembly; hot paths use buildInto.
-func (cp *cellProblem) buildLP(obj []float64, maximize bool, forbidZero []bool, atLeastOne bool, relaxKLo bool) *lp.Problem {
-	var p *lp.Problem
-	if maximize {
-		p = lp.NewMaximize(obj)
-	} else {
-		p = lp.NewMinimize(obj)
-	}
-	for _, j := range cp.constraintIdx() {
-		idx := cp.cellsOf[j]
-		val := make([]float64, len(idx))
-		for k := range val {
-			val[k] = 1
-		}
-		if !math.IsInf(cp.kHi[j], 1) {
-			_ = p.AddSparse(idx, val, lp.LE, cp.kHi[j])
-		}
-		if !relaxKLo && cp.kLo[j] > 0 {
-			_ = p.AddSparse(idx, val, lp.GE, cp.kLo[j])
-		}
-	}
-	for i := range cp.cells {
-		if forbidZero != nil && forbidZero[i] {
-			_ = p.AddSparse([]int{i}, []float64{1}, lp.LE, 0)
-			continue
-		}
-		_ = p.AddUpperBound(i, cp.capHi[i])
-	}
-	if atLeastOne {
-		all := make([]float64, len(cp.cells))
-		for i := range all {
-			all[i] = 1
-		}
-		_ = p.AddDense(all, lp.GE, 1)
-	}
-	return p
-}
-
 // solveResult carries a directional MILP outcome.
 type solveResult struct {
 	bound      float64 // sound outer bound in the requested direction
@@ -588,19 +522,12 @@ type solveResult struct {
 
 // solve optimizes obj over the cell problem in the given direction, relaxing
 // frequency lower bounds if the system is infeasible (constraint
-// reconciliation). sc supplies the reusable assembly/solve workspace; nil
-// (Reference mode) rebuilds the LP from scratch per attempt, as the seed
-// implementation did.
+// reconciliation). sc supplies the reusable assembly/solve workspace.
 func (cp *cellProblem) solve(sc *solveCtx, obj []float64, maximize bool, forbidZero []bool, atLeastOne bool, mopts milp.Options) solveResult {
+	mopts.Ctx = &sc.lp
+	mopts.Work = &sc.work
 	for _, relax := range []bool{false, true} {
-		var p *lp.Problem
-		if sc != nil {
-			p = cp.buildInto(sc, obj, maximize, forbidZero, atLeastOne, relax)
-			mopts.Ctx = &sc.lp
-			mopts.Work = &sc.work
-		} else {
-			p = cp.buildLP(obj, maximize, forbidZero, atLeastOne, relax)
-		}
+		p := cp.buildInto(sc, obj, maximize, forbidZero, atLeastOne, relax)
 		var sol milp.Solution
 		if maximize {
 			sol = milp.SolveMax(milp.Problem{LP: p}, mopts)
@@ -640,22 +567,12 @@ func (cp *cellProblem) feasible(sc *solveCtx, forbidZero []bool, atLeastOne bool
 // WHOLE problem. Undecided verdicts must not be cached under cell-scoped
 // keys shared by other problems (see cellcache.go).
 func (cp *cellProblem) feasibleStatus(sc *solveCtx, forbidZero []bool, atLeastOne bool, minOne int, mopts milp.Options) (ok, decided bool) {
-	var p *lp.Problem
-	if sc != nil {
-		zeros := sc.zeroObj(len(cp.cells))
-		p = cp.buildInto(sc, zeros, true, forbidZero, atLeastOne, false)
-		if minOne >= 0 {
-			_ = p.PushRow(cp.idxAll[minOne:minOne+1], cp.onesVal[:1], lp.GE, 1)
-		}
-		mopts.Ctx = &sc.lp
-		mopts.Work = &sc.work
-	} else {
-		obj := make([]float64, len(cp.cells))
-		p = cp.buildLP(obj, true, forbidZero, atLeastOne, false)
-		if minOne >= 0 {
-			_ = p.AddSparse([]int{minOne}, []float64{1}, lp.GE, 1)
-		}
+	p := cp.buildInto(sc, sc.zeroObj(len(cp.cells)), true, forbidZero, atLeastOne, false)
+	if minOne >= 0 {
+		_ = p.PushRow(cp.idxAll[minOne:minOne+1], cp.onesVal[:1], lp.GE, 1)
 	}
+	mopts.Ctx = &sc.lp
+	mopts.Work = &sc.work
 	sol := milp.SolveMax(milp.Problem{LP: p}, mopts)
 	ok = sol.Status == milp.Optimal || sol.Status == milp.Feasible
 	decided = ok || sol.Status == milp.Infeasible

@@ -137,7 +137,6 @@ func TestRestoreStoreRoundTrip(t *testing.T) {
 
 	// Identical mutation streams on both sides stay identical (same epochs,
 	// same assigned ids), including through removes of the max id.
-	rng2 := rand.New(rand.NewSource(11))
 	idsA := append([]PCID(nil), ids...)
 	idsB := append([]PCID(nil), ids...)
 	for step := 0; step < 15; step++ {
@@ -145,7 +144,6 @@ func TestRestoreStoreRoundTrip(t *testing.T) {
 		idsB = mutateRandomly(t, rand.New(rand.NewSource(int64(step))), s, restored, idsB)
 		equalStores(t, store, restored)
 	}
-	_ = rng2
 }
 
 // TestApplyRecordRejectsGapsAndMalformed pins the replay-integrity errors:

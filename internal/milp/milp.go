@@ -13,10 +13,10 @@
 // The search keeps one shared LP: each node records only its branch rows (a
 // persistent path of single-variable bounds), materialized onto the base
 // problem with PushRow/PopRow for the node's single LP solve, whose solution
-// is cached on the node. Compared to the reference implementation
-// (reference.go) this removes the per-child problem deep copy and the
-// second, redundant solve of every expanded node, while visiting exactly the
-// same tree and producing bit-identical solutions.
+// is cached on the node. Compared to the original clone-per-child search
+// (kept as the test oracle in reference_test.go) this removes the per-child
+// problem deep copy and the second, redundant solve of every expanded node,
+// while visiting exactly the same tree and producing bit-identical solutions.
 package milp
 
 import (
@@ -55,10 +55,6 @@ type Options struct {
 	// concurrent solves. Reuse changes no arithmetic — results are
 	// bit-identical with or without it.
 	Work *Workspace
-	// Reference forces the original clone-per-child, solve-twice
-	// branch-and-bound (reference.go). It exists for differential testing
-	// and benchmarking; results are bit-identical to the default path.
-	Reference bool
 }
 
 // DefaultMaxNodes is the node budget used when Options.MaxNodes is zero.
@@ -174,9 +170,6 @@ func SolveMax(p Problem, opts Options) Solution { return solve(p, opts, true) }
 func SolveMin(p Problem, opts Options) Solution { return solve(p, opts, false) }
 
 func solve(p Problem, opts Options, maximize bool) Solution {
-	if opts.Reference {
-		return solveReference(p, opts, maximize)
-	}
 	if opts.MaxNodes <= 0 {
 		opts.MaxNodes = DefaultMaxNodes
 	}

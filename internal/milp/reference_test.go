@@ -8,11 +8,10 @@ import (
 )
 
 // This file preserves the original branch-and-bound implementation — a deep
-// problem clone per child and a second LP solve when a node is popped — as a
-// reference for differential tests and the BenchmarkHotPath baseline
-// (enable with Options.Reference). The optimized path in milp.go explores
-// the same tree with the same pruning decisions and returns bit-identical
-// solutions.
+// problem clone per child and a second LP solve when a node is popped — as
+// the test oracle for differential_test.go. The shared-problem search in
+// milp.go explores the same tree with the same pruning decisions and returns
+// bit-identical solutions.
 
 type refNode struct {
 	prob  *lp.Problem

@@ -8,15 +8,17 @@ import (
 )
 
 // This file holds the allocation-free box-subtraction engine behind Sat,
-// Witness and RemainderBoxes. It replaces the recursive, Clone()-per-piece
-// search in reference.go with an explicit-stack DFS over a per-call scratch
+// Witness and RemainderBoxes. It replaces the original recursive,
+// Clone()-per-piece search with an explicit-stack DFS over a per-call scratch
 // arena: box storage, candidate lists and frames all live in reusable flat
 // buffers drawn from a sync.Pool, so a satisfiability check performs no
 // per-node heap allocation.
 //
-// The engine visits regions in exactly the order the recursive reference
+// The engine visits regions in exactly the order the recursive search
 // does, so witnesses, remainder decompositions and their box order are
-// bit-identical across the two implementations (tested in arena_test.go).
+// bit-identical across the two. The recursive search survives only as the
+// test oracle in reference_test.go, which arena_test.go and boundary_test.go
+// compare against.
 // Two prunings accelerate it without changing that order:
 //
 //  1. Candidate filtering: each frame keeps only the negated boxes that

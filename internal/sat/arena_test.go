@@ -68,7 +68,6 @@ func TestSearchMatchesReference(t *testing.T) {
 		schema := randomSchema(dims, rng)
 		opt := New(schema)
 		ref := New(schema)
-		ref.UseReference(true)
 
 		nNeg := rng.Intn(2 * negIndexMin)
 		b := randomBox(dims, rng)
@@ -109,7 +108,6 @@ func TestSearchMatchesReferenceDenseOverlap(t *testing.T) {
 		schema := randomSchema(dims, rng)
 		opt := New(schema)
 		ref := New(schema)
-		ref.UseReference(true)
 
 		b := schema.FullBox()
 		neg := make([]domain.Box, negIndexMin+16)
@@ -121,11 +119,12 @@ func TestSearchMatchesReferenceDenseOverlap(t *testing.T) {
 			}
 		}
 
-		if got, want := opt.SatBoxes(b, neg), ref.SatBoxes(b, neg); got != want {
+		_, want := ref.uncoveredRec(b, neg)
+		if got := opt.SatBoxes(b, neg); got != want {
 			t.Fatalf("trial %d: verdict %v != %v", trial, got, want)
 		}
 		gotR := opt.RemainderBoxes(b, neg)
-		wantR := ref.RemainderBoxes(b, neg)
+		wantR := ref.remainderBoxesRec(b, neg)
 		if !boxesEqual(gotR, wantR) {
 			t.Fatalf("trial %d: remainder mismatch (%d vs %d boxes)", trial, len(gotR), len(wantR))
 		}
@@ -139,14 +138,14 @@ func TestScratchReuse(t *testing.T) {
 	schema := randomSchema(3, rng)
 	opt := New(schema)
 	ref := New(schema)
-	ref.UseReference(true)
 	for q := 0; q < 200; q++ {
 		b := randomBox(3, rng)
 		neg := make([]domain.Box, rng.Intn(40))
 		for i := range neg {
 			neg[i] = randomBox(3, rng)
 		}
-		if got, want := opt.SatBoxes(b, neg), ref.SatBoxes(b, neg); got != want {
+		_, want := ref.uncoveredRec(b, neg)
+		if got := opt.SatBoxes(b, neg); got != want {
 			t.Fatalf("query %d: verdict diverged after reuse", q)
 		}
 	}
@@ -174,13 +173,5 @@ func TestSearchAllocFree(t *testing.T) {
 	// allocates per search node (hundreds on this workload).
 	if allocs > 2 {
 		t.Errorf("SatBoxes allocates %.1f objects per call, want <= 2", allocs)
-	}
-}
-
-func TestCloneKeepsReferenceMode(t *testing.T) {
-	s := New(randomSchema(2, rand.New(rand.NewSource(1))))
-	s.UseReference(true)
-	if c := s.Clone(); !c.reference {
-		t.Error("Clone dropped reference mode")
 	}
 }

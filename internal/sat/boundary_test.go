@@ -71,11 +71,10 @@ func TestSubtractionAtIntegralEndpoints(t *testing.T) {
 		Name: "k", Kind: domain.Integral, Domain: domain.NewInterval(3, 7),
 	})
 	for _, reference := range []bool{false, true} {
-		s := New(schema)
-		s.UseReference(reference)
+		s := newSearchImpl(schema, reference)
 		b := schema.FullBox()
 		neg := []domain.Box{{domain.NewInterval(4, 6)}}
-		boxes := s.RemainderBoxes(b, neg)
+		boxes := s.remainder(b, neg)
 		if len(boxes) != 2 {
 			t.Fatalf("ref=%v: got %d remainder boxes, want 2 (%v)", reference, len(boxes), boxes)
 		}
@@ -88,7 +87,7 @@ func TestSubtractionAtIntegralEndpoints(t *testing.T) {
 			{domain.NewInterval(2.5, 3.4)}, // covers lattice point 3
 			{domain.NewInterval(6.7, 7.2)}, // covers lattice point 7
 		}
-		if s.SatBoxes(b, negAll) {
+		if s.sat(b, negAll) {
 			t.Errorf("ref=%v: endpoints covered but still satisfiable", reference)
 		}
 	}
@@ -102,10 +101,9 @@ func TestSubtractionSinglePointIntervals(t *testing.T) {
 		domain.Attr{Name: "x", Kind: domain.Continuous, Domain: domain.NewInterval(0, 10)},
 	)
 	for _, reference := range []bool{false, true} {
-		s := New(schema)
-		s.UseReference(reference)
+		s := newSearchImpl(schema, reference)
 		point := domain.Box{domain.NewInterval(4, 4)}
-		if s.SatBoxes(point, []domain.Box{{domain.NewInterval(4, 4)}}) {
+		if s.sat(point, []domain.Box{{domain.NewInterval(4, 4)}}) {
 			t.Errorf("ref=%v: point minus itself should be unsat", reference)
 		}
 		w, ok := s.uncovered(point, []domain.Box{{domain.NewInterval(5, 5)}})
@@ -115,7 +113,7 @@ func TestSubtractionSinglePointIntervals(t *testing.T) {
 		// A continuous interval with one interior point removed keeps
 		// uncountably many witnesses on either side of the hole.
 		full := domain.Box{domain.NewInterval(0, 10)}
-		if !s.SatBoxes(full, []domain.Box{point}) {
+		if !s.sat(full, []domain.Box{point}) {
 			t.Errorf("ref=%v: interval minus interior point should be sat", reference)
 		}
 		// For an integral attribute the analogous hole removes the only
@@ -123,13 +121,12 @@ func TestSubtractionSinglePointIntervals(t *testing.T) {
 		ischema := domain.NewSchema(
 			domain.Attr{Name: "k", Kind: domain.Integral, Domain: domain.NewInterval(0, 10)},
 		)
-		is := New(ischema)
-		is.UseReference(reference)
+		is := newSearchImpl(ischema, reference)
 		narrow := domain.Box{domain.NewInterval(3.5, 4.5)}
-		if !is.SatBoxes(narrow, nil) {
+		if !is.sat(narrow, nil) {
 			t.Fatalf("ref=%v: [3.5,4.5] holds lattice point 4", reference)
 		}
-		if is.SatBoxes(narrow, []domain.Box{{domain.NewInterval(4, 4)}}) {
+		if is.sat(narrow, []domain.Box{{domain.NewInterval(4, 4)}}) {
 			t.Errorf("ref=%v: removing the only lattice point should be unsat", reference)
 		}
 	}

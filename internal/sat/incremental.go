@@ -22,9 +22,9 @@ import (
 //
 // Repeated mutation can fragment the remainder, so the tracker compacts
 // (rebuilds from scratch) once the fragment count outgrows the box count.
-// The from-scratch rebuild also serves as the differential-test reference
-// for the delta path: SetRebuildMode(true) makes every mutation rebuild
-// instead, and the two modes must always agree on coverage.
+// The from-scratch Rebuild is also the differential-test oracle for the
+// delta path: a tracker rebuilt after every mutation must always agree with
+// the delta tracker on coverage.
 //
 // The constraint store (internal/core) uses one Incremental to answer
 // closure checks (Definition 3.2) across its mutation stream.
@@ -41,10 +41,8 @@ type Incremental struct {
 	order []uint64
 	rem   []domain.Box
 
-	rebuildMode bool
-
-	// Deltas and Rebuilds count mutations applied incrementally vs via a
-	// full recomputation (compactions and rebuild-mode operations).
+	// Deltas and Rebuilds count mutations applied incrementally vs full
+	// recomputations (compactions and explicit Rebuild calls).
 	Deltas, Rebuilds int64
 }
 
@@ -59,12 +57,6 @@ func NewIncremental(solver *Solver, base domain.Box) *Incremental {
 	inc.rem = solver.RemainderBoxes(inc.base, nil)
 	return inc
 }
-
-// SetRebuildMode switches the tracker to the reference path: every mutation
-// recomputes the remainder from scratch instead of applying a delta.
-// Coverage answers are identical either way; the mode exists for
-// differential testing and benchmarking.
-func (inc *Incremental) SetRebuildMode(on bool) { inc.rebuildMode = on }
 
 // Len returns the number of registered boxes.
 func (inc *Incremental) Len() int { return len(inc.boxes) }
@@ -94,10 +86,6 @@ func (inc *Incremental) Add(id uint64, box domain.Box) {
 	}
 	inc.boxes[id] = box.Clone()
 	inc.order = append(inc.order, id)
-	if inc.rebuildMode {
-		inc.Rebuild()
-		return
-	}
 	inc.Deltas++
 	inc.rem = inc.carve(box)
 	inc.maybeCompact()
@@ -133,10 +121,6 @@ func (inc *Incremental) Remove(id uint64) bool {
 			break
 		}
 	}
-	if inc.rebuildMode {
-		inc.Rebuild()
-		return true
-	}
 	inc.Deltas++
 	// Clip the freed box to the base region first: registered boxes may
 	// extend beyond base, but only the part inside it belongs to the
@@ -162,10 +146,6 @@ func (inc *Incremental) Replace(id uint64, box domain.Box) bool {
 		return false
 	}
 	inc.boxes[id] = box.Clone()
-	if inc.rebuildMode {
-		inc.Rebuild()
-		return true
-	}
 	inc.Deltas++
 	out := inc.carve(box)
 	pieces := inc.solver.RemainderBoxes(old.Intersect(inc.base), inc.orderedBoxes(0))

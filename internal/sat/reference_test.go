@@ -2,12 +2,11 @@ package sat
 
 import "pcbound/internal/domain"
 
-// This file preserves the original recursive box-subtraction search as a
-// reference implementation. The optimized engine in arena.go visits regions
-// in exactly the same order, so the two produce bit-identical witnesses,
-// remainder decompositions and satisfiability verdicts; differential tests
-// in arena_test.go and the BenchmarkHotPath suite rely on this path (enable
-// it with Solver.UseReference).
+// This file preserves the original recursive box-subtraction search as the
+// test oracle for the arena engine. The engine in arena.go visits regions in
+// exactly the same order, so the two produce bit-identical witnesses,
+// remainder decompositions and satisfiability verdicts; the differential
+// tests in arena_test.go and boundary_test.go compare them directly.
 
 // uncoveredRec searches for a lattice point of b outside every box in neg.
 func (s *Solver) uncoveredRec(b domain.Box, neg []domain.Box) (domain.Row, bool) {
@@ -91,4 +90,33 @@ func (s *Solver) remainderRec(b domain.Box, neg []domain.Box, out *[]domain.Box)
 		return
 	}
 	*out = append(*out, b)
+}
+
+// remainderBoxesRec is RemainderBoxes over the recursive search.
+func (s *Solver) remainderBoxesRec(b domain.Box, neg []domain.Box) []domain.Box {
+	var out []domain.Box
+	s.remainderRec(b, neg, &out)
+	return out
+}
+
+// searchImpl is one implementation of the solver's box search over a fresh
+// solver: the arena engine, or the recursive oracle when reference is set.
+// Boundary tests run every case through both.
+type searchImpl struct {
+	uncovered func(b domain.Box, neg []domain.Box) (domain.Row, bool)
+	remainder func(b domain.Box, neg []domain.Box) []domain.Box
+}
+
+func newSearchImpl(schema *domain.Schema, reference bool) searchImpl {
+	s := New(schema)
+	if reference {
+		return searchImpl{uncovered: s.uncoveredRec, remainder: s.remainderBoxesRec}
+	}
+	return searchImpl{uncovered: s.uncovered, remainder: s.RemainderBoxes}
+}
+
+// sat is SatBoxes over the implementation.
+func (si searchImpl) sat(b domain.Box, neg []domain.Box) bool {
+	_, ok := si.uncovered(b, neg)
+	return ok
 }

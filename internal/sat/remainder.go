@@ -12,16 +12,11 @@ import "pcbound/internal/domain"
 // the attribute's intervals across the cell's remainder boxes.
 func (s *Solver) RemainderBoxes(b domain.Box, neg []domain.Box) []domain.Box {
 	s.checks.Add(1)
-	var out []domain.Box
-	if s.reference {
-		s.remainderRec(b, neg, &out)
-		return out
-	}
 	sc := s.getScratch()
 	sc.mode = modeCollect
 	sc.collected = nil
 	s.search(sc, b, neg)
-	out = sc.collected
+	out := sc.collected
 	sc.collected = nil
 	s.nodes.Add(sc.nodes)
 	s.putScratch(sc)

@@ -45,7 +45,6 @@ type Solver struct {
 	// kinds caches the per-dimension attribute kinds so lattice-aware
 	// emptiness/overlap tests skip the Attr struct copy on every probe.
 	kinds       []domain.Kind
-	reference   bool
 	checks      atomic.Int64
 	nodes       atomic.Int64
 	scratchPool sync.Pool // of *scratch
@@ -60,21 +59,10 @@ func New(s *domain.Schema) *Solver {
 	return &Solver{schema: s, kinds: kinds}
 }
 
-// UseReference switches the solver to the recursive reference implementation
-// (the pre-optimization search in reference.go). It exists for differential
-// testing and for benchmarking the optimized engine against its baseline;
-// results are bit-identical either way. Must be called before the solver is
-// shared across goroutines.
-func (s *Solver) UseReference(on bool) { s.reference = on }
-
 // Clone returns a fresh solver over the same schema with zeroed counters.
 // Batch engines hand each worker its own clone so per-worker statistics stay
 // attributable, then fold them back with AddStats.
-func (s *Solver) Clone() *Solver {
-	c := New(s.schema)
-	c.reference = s.reference
-	return c
-}
+func (s *Solver) Clone() *Solver { return New(s.schema) }
 
 // AddStats folds another solver's counters into this one.
 func (s *Solver) AddStats(st Stats) {
@@ -127,9 +115,6 @@ func (s *Solver) SatBoxes(b domain.Box, neg []domain.Box) bool {
 
 // uncovered searches for a lattice point of b outside every box in neg.
 func (s *Solver) uncovered(b domain.Box, neg []domain.Box) (domain.Row, bool) {
-	if s.reference {
-		return s.uncoveredRec(b, neg)
-	}
 	sc := s.getScratch()
 	sc.mode = modeWitness
 	found := s.search(sc, b, neg)
